@@ -1,16 +1,24 @@
 // Kernel-dispatch microbenchmark: times every available kernel tier
 // (scalar / sse42 / avx2) on the primitives that dominate BCPNN training
-// — GEMM above all — and emits BENCH_kernels.json with per-tier numbers
-// and speedups over the scalar reference. The acceptance bar for the
-// SIMD subsystem is >= 2x GEMM speedup on AVX2 hardware.
+// — GEMM above all — and emits BENCH_kernels.json with per-tier numbers,
+// speedups over the scalar reference and the host they were measured on
+// (cores, dispatch, build type, compiler, commit). The acceptance bar for
+// the SIMD subsystem is >= 2x GEMM speedup on AVX2 hardware.
 //
-//   bench_kernels [--out BENCH_kernels.json] [--reps 5]
+//   bench_kernels [--out BENCH_kernels.json] [--reps 5] [--commit ID]
+//                 [--check]
+//
+// --check (for CI): exit 1 unless the best SIMD tier runs vexp,
+// vlog_floored and softmax_block at >= 2x the scalar tier on this same
+// host — a ratio, never an absolute time. Hosts without a SIMD tier pass.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "streambrain/streambrain.hpp"
@@ -71,6 +79,8 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get_string("out", "BENCH_kernels.json");
   const std::size_t reps = std::max<std::size_t>(
       1, static_cast<std::size_t>(args.get_int("reps", 5)));
+  const std::string commit = args.get_string("commit", "unknown");
+  const bool check = args.has("check");
 
   const auto tiers = available_tiers();
   const st::DispatchLevel original = st::active_kernels().level;
@@ -118,20 +128,26 @@ int main(int argc, char** argv) {
   constexpr std::size_t kN = 1 << 16;
   st::MatrixF xs = random_matrix(1, kN, rng);
   st::MatrixF ys = random_matrix(1, kN, rng);
+  st::MatrixF probs = random_matrix(1, kN, rng);
+  for (float& p : probs) p = std::abs(p);  // trace-like, some floored
   st::MatrixF scratch(1, kN, 0.0f);
   const std::string vec_shape = "n=" + std::to_string(kN);
   struct VecBench {
     const char* name;
     double flops_per_elem;
+    bool gated;  // --check: best SIMD tier must reach 2x scalar
   };
+  constexpr VecBench kBenches[] = {{"axpy", 2.0, false},
+                                   {"dot", 2.0, false},
+                                   {"reduce_sum", 1.0, false},
+                                   {"vexp", 1.0, true},
+                                   {"vlog_floored", 1.0, true},
+                                   {"softmax_block", 4.0, true}};
+  constexpr std::size_t kBenchCount = std::size(kBenches);
+  double best_speedup[kBenchCount] = {};
   volatile float sink = 0.0f;
   for (const st::KernelSet* tier : tiers) {
-    const VecBench benches[5] = {{"axpy", 2.0},
-                                 {"dot", 2.0},
-                                 {"reduce_sum", 1.0},
-                                 {"vexp", 1.0},
-                                 {"softmax_block", 4.0}};
-    for (int which = 0; which < 5; ++which) {
+    for (std::size_t which = 0; which < kBenchCount; ++which) {
       const double seconds = time_call(reps * 4, [&] {
         switch (which) {
           case 0:
@@ -147,13 +163,16 @@ int main(int argc, char** argv) {
             tier->vexp(xs.data(), scratch.data(), kN);
             break;
           case 4:
+            tier->vlog_floored(probs.data(), scratch.data(), 1e-8f, kN);
+            break;
+          case 5:
             std::copy_n(xs.data(), kN, scratch.data());
             tier->softmax_block(scratch.data(), kN, 1.0f);
             break;
         }
       });
-      Result result{benches[which].name, vec_shape, tier->name, seconds,
-                    benches[which].flops_per_elem * kN / seconds / 1e9, 1.0};
+      Result result{kBenches[which].name, vec_shape, tier->name, seconds,
+                    kBenches[which].flops_per_elem * kN / seconds / 1e9, 1.0};
       // Tiers are iterated scalar-first, so the scalar time for this
       // bench is recorded in results already; look it up.
       for (const Result& prior : results) {
@@ -162,7 +181,14 @@ int main(int argc, char** argv) {
           result.speedup_vs_scalar = prior.seconds / seconds;
         }
       }
+      if (tier->level != st::DispatchLevel::kScalar) {
+        best_speedup[which] =
+            std::max(best_speedup[which], result.speedup_vs_scalar);
+      }
       results.push_back(result);
+      std::printf("  %-13s %-12s %-7s %8.2f us  %5.2fx\n",
+                  result.kernel.c_str(), vec_shape.c_str(), tier->name,
+                  seconds * 1e6, result.speedup_vs_scalar);
     }
   }
   (void)sink;
@@ -171,6 +197,11 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n";
   out << "  \"bench\": \"kernels\",\n";
+  out << "  \"host\": {\"hardware_concurrency\": "
+      << std::thread::hardware_concurrency() << ", \"dispatch\": \""
+      << st::dispatch_level_name(original) << "\", \"build_type\": \""
+      << STREAMBRAIN_BUILD_TYPE << "\", \"compiler\": \""
+      << STREAMBRAIN_COMPILER << "\", \"commit\": \"" << commit << "\"},\n";
   out << "  \"max_supported_dispatch\": \""
       << st::dispatch_level_name(st::max_supported_dispatch()) << "\",\n";
   out << "  \"active_dispatch\": \"" << st::dispatch_level_name(original)
@@ -194,5 +225,20 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::printf("\nbest GEMM speedup vs scalar: %.2fx\nwrote %s\n",
               gemm_best_speedup, out_path.c_str());
-  return 0;
+
+  if (!check) return 0;
+  if (tiers.size() < 2) {
+    std::printf("--check: no SIMD tier on this host, nothing to gate\n");
+    return 0;
+  }
+  bool passed = true;
+  for (std::size_t which = 0; which < kBenchCount; ++which) {
+    if (!kBenches[which].gated) continue;
+    const bool ok = best_speedup[which] >= 2.0;
+    passed = passed && ok;
+    std::printf("--check %s: best SIMD tier %.2fx scalar (need >= 2x) %s\n",
+                kBenches[which].name, best_speedup[which],
+                ok ? "ok" : "FAILED");
+  }
+  return passed ? 0 : 1;
 }

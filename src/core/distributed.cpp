@@ -159,8 +159,10 @@ void accumulate_trace_stats(const tensor::MatrixF& x, const tensor::MatrixF& a,
   tensor::col_sums(x, slot);
   tensor::col_sums(a, slot + n_in);
   pij_scratch.resize(n_in, n_out);
-  tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f, x, a,
-               0.0f, pij_scratch);
+  // Same binary-input path as the simd engine's trace update: one-hot
+  // shard rows gather-add instead of running X^T A densely.
+  tensor::gemm_binary_or_dense(tensor::Transpose::kYes, 1.0f, x, a, 0.0f,
+                               pij_scratch);
   std::copy_n(pij_scratch.data(), n_in * n_out, slot + n_in + n_out);
 }
 

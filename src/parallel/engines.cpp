@@ -226,16 +226,20 @@ class OpenMpEngine final : public Engine {
 /// vectorized exp/log approximations). This is the analogue of
 /// StreamBrain's hand-vectorized CPU backend; the actual instruction
 /// tier (scalar / sse42 / avx2) is decided once at startup by CPUID and
-/// the STREAMBRAIN_DISPATCH override.
+/// the STREAMBRAIN_DISPATCH override. Support and the p_ij update take
+/// tensor::gemm_binary_or_dense: binary sparse input (one-hot encoded
+/// rows) runs as ascending gather-adds of the selected rows, bit-identical
+/// to the dense GEMM, so a row's result does not depend on which path its
+/// batch took.
 class SimdEngine final : public Engine {
  public:
   [[nodiscard]] std::string name() const override { return "simd"; }
 
   void support(const MatrixF& x, const MatrixF& w, const float* bias,
                MatrixF& s) override {
-    s.resize(x.rows(), w.cols());
-    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, x, w,
-                 0.0f, s);
+    s.resize_uninitialized(x.rows(), w.cols());  // beta 0 overwrites
+    tensor::gemm_binary_or_dense(tensor::Transpose::kNo, 1.0f, x, w, 0.0f,
+                                 s);
     tensor::add_row_bias(s, bias);
   }
 
@@ -264,8 +268,8 @@ class SimdEngine final : public Engine {
     tensor::ema_update(pj, mean_a.data(), alpha, n_out);
 
     // p_ij = (1-alpha) p_ij + (alpha/B) X^T A as one GEMM.
-    tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo,
-                 alpha * inv_b, x, a, 1.0f - alpha, pij);
+    tensor::gemm_binary_or_dense(tensor::Transpose::kYes, alpha * inv_b, x, a,
+                                 1.0f - alpha, pij);
   }
 
   void recompute_weights(const float* pi, const float* pj, const MatrixF& pij,
@@ -352,15 +356,16 @@ void register_builtin_engines(EngineRegistry& registry) {
        /*dispatch=*/""},
       [] { return std::make_unique<NaiveEngine>(); });
   registry.register_engine(
-      {"openmp", "OpenMP-parallel scalar loops with sparse-input skipping",
+      {"openmp",
+       "OpenMP-parallel scalar loops with libm exp/log (no KernelSet)",
        /*simd_width=*/1, /*offload=*/false, /*counts_transfers=*/false,
        /*dispatch=*/""},
       [] { return std::make_unique<OpenMpEngine>(); });
   registry.register_engine(
       {"simd",
        std::string("runtime-dispatched KernelSet engine (") + kernels.name +
-           " tier): blocked GEMM tiles over the ThreadPool + vectorized "
-           "exp/log",
+           " tier): blocked GEMM tiles over the ThreadPool, binary sparse "
+           "input as row gathers, vectorized exp/log",
        /*simd_width=*/kernels.simd_width, /*offload=*/false,
        /*counts_transfers=*/false, /*dispatch=*/kernels.name},
       [] { return std::make_unique<SimdEngine>(); });

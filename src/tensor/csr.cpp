@@ -1,12 +1,10 @@
 #include "tensor/csr.hpp"
 
-#include <algorithm>
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
 #include "tensor/kernels.hpp"
@@ -182,23 +180,7 @@ void spmm_bt(const CsrMatrix& a, const MatrixF& b, MatrixF& c) {
                  a.rows(), b.row(r0), b.cols(), r1 - r0, c.row(r0), c.cols());
   };
 
-  parallel::ThreadPool& pool = parallel::global_pool();
-  const std::size_t max_tasks = std::max<std::size_t>(
-      1, std::min({pool.size(), detail::max_compute_tasks(),
-                   batch / kMinRowsPerTask}));
-  if (max_tasks <= 1 || parallel::ThreadPool::in_worker()) {
-    run_panel(0, batch);
-    return;
-  }
-  const std::size_t rows_per_task = (batch + max_tasks - 1) / max_tasks;
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(max_tasks - 1);
-  for (std::size_t r0 = rows_per_task; r0 < batch; r0 += rows_per_task) {
-    const std::size_t r1 = std::min(r0 + rows_per_task, batch);
-    tasks.push_back(pool.submit([&run_panel, r0, r1] { run_panel(r0, r1); }));
-  }
-  run_panel(0, std::min(rows_per_task, batch));
-  for (auto& task : tasks) task.get();
+  detail::for_row_panels(batch, kMinRowsPerTask, run_panel);
 }
 
 void sparse_support(const CsrMatrix& wt, const MatrixF& x, const float* bias,

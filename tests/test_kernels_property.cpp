@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/cpu_features.hpp"
@@ -356,6 +359,88 @@ TEST(KernelProperty, SoftmaxBlockMatchesScalar) {
           total += v_simd[i];
         }
         EXPECT_NEAR(total, 1.0f, 1e-4f);
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, TranscendentalTailsAreBitwisePositionIndependent) {
+  // Each lane computes the same operations as the scalar remainder loop,
+  // so out[i] depends only on x[i]: every length 0..67 at every start
+  // offset 0..7 (vector body, ragged tail, misaligned start) must give
+  // the bits a one-element call gives, and leave the rest untouched.
+  constexpr std::size_t kMaxLen = 67;
+  constexpr std::size_t kMaxOffset = 7;
+  constexpr std::size_t kSpan = kMaxLen + kMaxOffset + 1;
+  constexpr float kSentinel = -12345.0f;
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  std::vector<const st::KernelSet*> tiers = simd_tiers();
+  tiers.insert(tiers.begin(), &scalar_tier());
+  for (const st::KernelSet* tier : tiers) {
+    su::Rng rng(4242);
+    auto xe = random_vector(kSpan, rng, -100.0f, 100.0f);
+    xe[3] = -87.0f;
+    xe[9] = 88.5f;
+    xe[20] = -0.0f;
+    auto xl = random_vector(kSpan, rng, 0.0f, 4.0f);
+    xl[2] = 0.0f;
+    xl[11] = -1.0f;
+    xl[30] = 1e-30f;
+    xl[41] = 1e30f;
+    const float floor = 1e-8f;
+    std::vector<float> exp_one(kSpan);
+    std::vector<float> log_one(kSpan);
+    for (std::size_t i = 0; i < kSpan; ++i) {
+      tier->vexp(&xe[i], &exp_one[i], 1);
+      tier->vlog_floored(&xl[i], &log_one[i], floor, 1);
+    }
+    const auto softmax_input = random_vector(kSpan, rng, -50.0f, 50.0f);
+
+    for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        std::vector<float> e(kSpan, kSentinel);
+        std::vector<float> l(kSpan, kSentinel);
+        tier->vexp(xe.data() + offset, e.data() + offset, len);
+        tier->vlog_floored(xl.data() + offset, l.data() + offset, floor, len);
+        for (std::size_t i = 0; i < kSpan; ++i) {
+          const bool inside = i >= offset && i < offset + len;
+          ASSERT_EQ(bits(e[i]), bits(inside ? exp_one[i] : kSentinel))
+              << tier->name << " vexp off=" << offset << " len=" << len
+              << " i=" << i;
+          ASSERT_EQ(bits(l[i]), bits(inside ? log_one[i] : kSentinel))
+              << tier->name << " vlog_floored off=" << offset
+              << " len=" << len << " i=" << i;
+        }
+
+        if (len == 0) continue;  // a zero-wide block is rejected upstream
+        for (const float inv_temp : {1.0f, 4.0f}) {
+          std::vector<float> v(kSpan, kSentinel);
+          std::copy_n(softmax_input.begin() + offset, len,
+                      v.begin() + offset);
+          // Expected: the tier's own exp of each shifted input, summed
+          // strictly left to right, then one reciprocal multiply.
+          float max_v = -FLT_MAX;
+          for (std::size_t i = 0; i < len; ++i) {
+            max_v = std::max(max_v, v[offset + i]);
+          }
+          std::vector<float> ex(len);
+          float total = 0.0f;
+          for (std::size_t i = 0; i < len; ++i) {
+            const float shifted = inv_temp * (v[offset + i] - max_v);
+            tier->vexp(&shifted, &ex[i], 1);
+            total += ex[i];
+          }
+          const float inv_total = 1.0f / total;
+          tier->softmax_block(v.data() + offset, len, inv_temp);
+          for (std::size_t i = 0; i < kSpan; ++i) {
+            const bool inside = i >= offset && i < offset + len;
+            const float expect =
+                inside ? ex[i - offset] * inv_total : kSentinel;
+            ASSERT_EQ(bits(v[i]), bits(expect))
+                << tier->name << " softmax_block off=" << offset
+                << " len=" << len << " beta=" << inv_temp << " i=" << i;
+          }
+        }
       }
     }
   }

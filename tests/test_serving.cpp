@@ -24,6 +24,7 @@
 #include "serve/request_queue.hpp"
 #include "serve/score_cache.hpp"
 #include "serve/shard_pool.hpp"
+#include "tensor/gemm.hpp"
 
 namespace sc = streambrain::core;
 namespace sv = streambrain::serve;
@@ -254,6 +255,34 @@ TEST(AsyncPredictor, SingleShardMatchesSerialReference) {
   EXPECT_EQ(stats.rows, 2 * serving().x_test.rows());
   EXPECT_GT(stats.batches, 0u);
   EXPECT_GE(stats.max_queue_wait_seconds, 0.0);
+}
+
+TEST(AsyncPredictor, RowScoresDoNotDependOnTheBatchSupportPath) {
+  // A one-hot batch takes the simd engine's binary gather-add path; the
+  // same rows next to one non-binary row take the dense GEMM. Each row's
+  // score must be the same bits either way.
+  AsyncPredictor server(serving().model, {/*shards=*/1,
+                                          /*max_batch_rows=*/64});
+  const st::MatrixF sparse_batch = rows_slice(serving().x_test, 10, 26);
+  st::MatrixF mixed_batch(sparse_batch.rows() + 1, sparse_batch.cols(), 0.5f);
+  for (std::size_t r = 0; r < sparse_batch.rows(); ++r) {
+    std::copy_n(sparse_batch.row(r), sparse_batch.cols(),
+                mixed_batch.row(r + 1));
+  }
+  const st::MatrixF probe(sparse_batch.cols(), 3, 1.0f);
+  st::MatrixF sink(sparse_batch.rows(), 3, 0.0f);
+  ASSERT_TRUE(st::gemm_binary_or_dense(st::Transpose::kNo, 1.0f, sparse_batch,
+                                       probe, 0.0f, sink));
+  sink.resize(mixed_batch.rows(), 3);
+  ASSERT_FALSE(st::gemm_binary_or_dense(st::Transpose::kNo, 1.0f, mixed_batch,
+                                        probe, 0.0f, sink));
+
+  const std::vector<double> sparse_scores = server.predict_scores(sparse_batch);
+  const std::vector<double> mixed_scores = server.predict_scores(mixed_batch);
+  for (std::size_t r = 0; r < sparse_batch.rows(); ++r) {
+    EXPECT_EQ(sparse_scores[r], mixed_scores[r + 1]) << "row " << r;
+    EXPECT_EQ(sparse_scores[r], serving().reference_scores[10 + r]);
+  }
 }
 
 TEST(AsyncPredictor, ShardedConcurrentTrafficStaysBitIdentical) {
